@@ -1,6 +1,6 @@
 # Canonical workflows for the ISRec reproduction.
 
-.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-kernels bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents table-graphs figures lint
+.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-kernels bench-serve bench-serve-cluster bench-parallel bench-backends bench-online bench-isrec telemetry-report table2 table-intents table-graphs figures lint
 
 install:
 	pip install -e . || \
@@ -56,6 +56,11 @@ bench-parallel:   ## data-parallel training benchmark, writes BENCH_parallel.jso
 
 bench-online:     ## online-loop drift/fine-tune/rollout benchmark, writes BENCH_online.json (<2 min)
 	PYTHONPATH=src python -m repro.online.bench --out BENCH_online.json
+
+bench-isrec:      ## ISRec benchmark (BENCHMARK.json), both workloads untraced at seed 1 (~2 min)
+	@for workload in pipeline-sparse pipeline-dense; do \
+		python3 isrec_bench/run.py --workload $$workload --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 telemetry-report: ## pretty-print a telemetry stream: make telemetry-report FILE=runs/x.telemetry.jsonl
 	@test -n "$(FILE)" || { echo "usage: make telemetry-report FILE=<run>.telemetry.jsonl"; exit 2; }

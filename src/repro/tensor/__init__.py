@@ -8,8 +8,9 @@ reproduction.  It provides:
 - :mod:`~repro.tensor.functional` — composite differentiable operations
   (softmax, cross-entropy, cosine similarity, ...).
 - :mod:`~repro.tensor.fused` — fused single-tape-node kernels for the
-  training hot path (softmax, cross-entropy, masked attention, layer norm)
-  with hand-derived VJPs; toggled globally via ``fused.use_fused``.
+  training hot path (softmax, cross-entropy, masked attention, layer norm,
+  InfoNCE, the Eq. 11 concept-bank decode) with hand-derived VJPs; toggled
+  globally via ``fused.use_fused``.
 - :mod:`~repro.tensor.gradcheck` — numerical gradient checking used by the
   test-suite to validate every analytic gradient.
 - :mod:`~repro.tensor.backend` — the pluggable dense-compute seam: every

@@ -21,6 +21,9 @@ hand-derived vector-Jacobian product:
   inverted-dropout mask to the attention weights inside the kernel).
 - :func:`layer_norm` — normalisation + affine as one node with the standard
   three-term backward.
+- :func:`concept_bank_decode` — the intent decoder's per-concept affine bank
+  and intention-weighted sum (Eq. 11), evaluated only on the active
+  concepts, bit-identical to the composed reference.
 
 The composed implementations stay in the tree as the reference; every fused
 kernel is gradcheck-verified against them (``tests/tensor/test_fused.py``).
@@ -35,7 +38,7 @@ import contextlib
 import numpy as np
 
 from repro.tensor.backend import active_backend
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, is_grad_enabled
 
 _NEG_INF = -1e9
 
@@ -342,3 +345,87 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             ))
 
     return _node(out, (x, gamma, beta), "fused_layer_norm", backward)
+
+
+# ----------------------------------------------------------------------
+# Concept-bank decode (Eq. 11)
+# ----------------------------------------------------------------------
+def concept_bank_decode(z: Tensor, m: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x = Σ_k m_k (z_k W_k + b_k)`` over ``(..., K, d')`` features as one tape node.
+
+    ``m`` is the ``(..., K)`` intention mask, ``weight`` the ``(K, d', d)``
+    bank and ``bias`` its ``(K, d)`` offsets.  The composed reference
+    (:class:`repro.nn.LinearBank` ``forward_per_bank``, times ``m``, summed
+    over ``K``) decodes every concept and its autograd reduces a
+    ``(..., K, d', d)`` stack of outer products for the weight gradient.
+    The intention mask of ISRec is exactly zero outside its top-λ concepts,
+    so this kernel decodes, weights and back-propagates only the *active*
+    ``(position, concept)`` pairs — those with ``m != 0``.
+
+    The result is bit-identical to the composed reference, not merely
+    close: the top-λ selection downstream amplifies any rounding change.
+    Each active pair goes through the same per-pair BLAS gemv, and every
+    sum over positions or concepts runs sequentially in ascending index
+    order like numpy's outer-axis reductions do; the skipped pairs only
+    ever contributed signed zeros.  The one gradient that needs every
+    concept is ``∂m_k = ⟨g, z_k W_k + b_k⟩`` (the straight-through top-λ
+    passes gradient to inactive concepts), so when ``m`` is tracked the
+    full ``(..., K, d)`` decode is computed and reduced exactly as the
+    composed path does.
+    """
+    num_banks, in_features = z.shape[-2:]
+    out_features = weight.shape[-1]
+    flat_z = z.data.reshape(-1, num_banks, in_features)
+    flat_m = m.data.reshape(-1, num_banks)
+    # Active pairs, grouped by concept with ascending positions per concept.
+    concept, row = np.nonzero(flat_m.T)
+    bounds = np.searchsorted(concept, np.arange(num_banks + 1))
+    segments = [(k, slice(bounds[k], bounds[k + 1]))
+                for k in np.flatnonzero(np.diff(bounds))]
+    scale = flat_m[row, concept][:, None]
+    z_pairs = flat_z[row, concept]
+
+    track_m = m.requires_grad and is_grad_enabled()
+    if track_m:
+        full = active_backend().matmul(flat_z[:, :, None, :], weight.data)
+        full = full.reshape(flat_m.shape + (out_features,))
+        full += bias.data
+        weighted = full[row, concept]
+    else:
+        weighted = np.empty((row.size, out_features),
+                            dtype=np.result_type(z.data, weight.data))
+        for k, pairs in segments:
+            np.matmul(z_pairs[pairs, None, :], weight.data[k],
+                      out=weighted[pairs, None, :])
+        weighted += bias.data[concept]
+    weighted *= scale
+    out = np.zeros((flat_m.shape[0], out_features), dtype=weighted.dtype)
+    for k, pairs in segments:
+        out[row[pairs]] += weighted[pairs]
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(out.shape)
+        if track_m:
+            # ⟨g, z_k W_k + b_k⟩ for every concept, reduced over the last
+            # axis exactly like the composed broadcast-multiply gradient.
+            np.multiply(full, g[:, None, :], out=full)
+            m._accumulate(full.sum(axis=-1).reshape(m.shape))
+        g_pairs = g[row] * scale
+        grad_z = np.zeros_like(flat_z) if z.requires_grad else None
+        grad_w = np.zeros_like(weight.data) if weight.requires_grad else None
+        grad_b = np.zeros_like(bias.data) if bias.requires_grad else None
+        for k, pairs in segments:
+            g_k = g_pairs[pairs]
+            if grad_b is not None:
+                grad_b[k] = g_k.sum(axis=0)
+            if grad_w is not None:
+                grad_w[k] = (z_pairs[pairs, :, None] * g_k[:, None, :]).sum(axis=0)
+            if grad_z is not None:
+                grad_z[row[pairs], k] = np.matmul(g_k[:, None, :],
+                                                  weight.data[k].T)[:, 0]
+        for parent, parent_grad in ((z, grad_z), (weight, grad_w), (bias, grad_b)):
+            if parent_grad is not None:
+                parent._accumulate(parent_grad.reshape(parent.shape))
+
+    return _node(out.reshape(m.shape[:-1] + (out_features,)),
+                 (z, m, weight, bias), "fused_concept_bank_decode", backward)

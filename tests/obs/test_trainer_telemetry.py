@@ -4,10 +4,19 @@ import json
 
 import numpy as np
 
-from repro import nn, obs
+from repro import ISRec, ISRecConfig, nn, obs
+from repro.data import next_item_batches
 from repro.tensor import Tensor, fused
 from repro.train import TrainConfig, Trainer
 from repro.utils import bench
+
+
+def _isrec_and_batch(dataset, split):
+    model = ISRec.from_dataset(dataset, max_len=8, config=ISRecConfig(dim=16))
+    model.train()
+    batch = next(next_item_batches(split.train_sequences(), 8, 16,
+                                   np.random.default_rng(0)))
+    return model, batch
 
 
 class NoisyModel(nn.Module):
@@ -147,6 +156,23 @@ class TestKernelDispatchTelemetry:
         assert snap["kernel_dispatch.layer_norm.fused"]["value"] >= 1
         assert not any(".composed" in name for name in snap)
 
+    def test_isrec_decoder_dispatch_counted(self, tiny_dataset, tiny_split):
+        """The intent decoder reports its concept-bank kernel path."""
+        model, batch = _isrec_and_batch(tiny_dataset, tiny_split)
+        registry = obs.MetricsRegistry()
+        previous = obs.set_registry(registry)
+        try:
+            with obs.use_telemetry():
+                with fused.use_fused(True):
+                    model.training_loss(batch)
+                with fused.use_fused(False):
+                    model.training_loss(batch)
+        finally:
+            obs.set_registry(previous)
+        snap = registry.snapshot()
+        assert snap["kernel_dispatch.concept_bank_decode.fused"]["value"] == 1
+        assert snap["kernel_dispatch.concept_bank_decode.composed"]["value"] == 1
+
 
 class TestTelemetryOverhead:
     """Deterministic (counted, not timed) overhead guarantees.
@@ -173,6 +199,19 @@ class TestTelemetryOverhead:
             obs.set_registry(previous)
         # No counters, gauges, or histograms were touched anywhere in the
         # fused forward/backward — the disabled path is work-free.
+        assert registry.snapshot() == {}
+
+    def test_disabled_isrec_step_does_no_instrumentation_work(self, tiny_dataset,
+                                                              tiny_split):
+        model, batch = _isrec_and_batch(tiny_dataset, tiny_split)
+        registry = obs.MetricsRegistry()
+        previous = obs.set_registry(registry)
+        try:
+            assert not obs.telemetry_enabled()
+            with fused.use_fused(True):
+                model.training_loss(batch).backward()
+        finally:
+            obs.set_registry(previous)
         assert registry.snapshot() == {}
 
     def test_enabled_step_instrumentation_is_constant_per_step(self):

@@ -1,6 +1,8 @@
 """The package's public API surface: everything in __all__ exists and more."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,15 @@ class TestPublicSurface:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+    def test_version_matches_pyproject(self):
+        import repro
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(),
+                             re.MULTILINE)
+        assert declared, "pyproject.toml declares no [project] version"
+        assert repro.__version__ == declared.group(1)
 
     def test_headline_names(self):
         import repro
