@@ -27,6 +27,7 @@ import dataclasses
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import ISRecConfig
 from repro.core.encoder import IntentAwareEncoder
 from repro.core.intent_decoder import IntentDecoder
@@ -34,7 +35,8 @@ from repro.core.intent_extraction import IntentExtractor
 from repro.core.intent_transition import StructuredIntentTransition
 from repro.data.dataset import InteractionDataset
 from repro.models.base import SequenceRecommender
-from repro.tensor.tensor import Tensor
+from repro.tensor import fused
+from repro.tensor.tensor import RowSubset, Tensor, gather_rows, merge_rows, row_subset
 
 
 class ISRec(SequenceRecommender):
@@ -167,5 +169,53 @@ class ISRec(SequenceRecommender):
         }
 
     def sequence_output(self, inputs: np.ndarray) -> Tensor:
-        """``x_{t+1}`` at every position (the state that scores items)."""
-        return self.forward_detailed(inputs)["output"]
+        """``x_{t+1}`` at every position (the state that scores items).
+
+        Eq. 5-11 run only on the rows that can be read: the non-padding
+        positions plus the last column.  A padded position passes its
+        encoder state through (its loss is masked out).  Every row that
+        is computed is bit-identical to :meth:`forward_detailed`, which
+        ``use_fused(False)`` selects as the reference.
+        """
+        if not self._live_rows():
+            return self.forward_detailed(inputs)["output"]
+        inputs = np.asarray(inputs)
+        live = inputs != 0
+        live[:, -1] = True
+        states = self.encoder(inputs)
+        subset = RowSubset(np.flatnonzero(live), live.shape)
+        if obs.telemetry_enabled():
+            obs.histogram("intent_rows.live_share").observe(subset.size / subset.total)
+        return merge_rows(states, self._intent_rows(states, subset), subset)
+
+    def final_state(self, inputs: np.ndarray) -> Tensor:
+        """``x_{t+1}`` at the last position only, ``(batch, dim)``.
+
+        Eq. 5-11 run on the last column alone, bit-identical to the last
+        row of :meth:`forward_detailed` (the ``use_fused(False)`` path).
+        """
+        if not self._live_rows():
+            return self.forward_detailed(inputs)["output"][:, -1, :]
+        inputs = np.asarray(inputs)
+        batch, length = inputs.shape
+        subset = RowSubset(np.arange(1, batch + 1) * length - 1, inputs.shape)
+        return self._intent_rows(self.encoder(inputs), subset)
+
+    def _live_rows(self) -> bool:
+        """Whether the intent path runs on a row subset (and telemetry)."""
+        if self.extractor is None:
+            return False
+        live = fused.fused_enabled()
+        if obs.telemetry_enabled():
+            path = "live" if live else "reference"
+            obs.counter(f"kernel_dispatch.intent_rows.{path}").inc()
+        return live
+
+    def _intent_rows(self, states: Tensor, subset: RowSubset) -> Tensor:
+        """Eq. 5-11 (and the residual) on the ``subset`` rows of ``states``."""
+        rows = gather_rows(states, subset)
+        with row_subset(subset):
+            intention, _ = self.extractor(rows, self.encoder.concept_embedding)
+            next_features, next_intention = self.transition(rows, intention)
+            decoded = self.decoder(next_features, next_intention)
+        return decoded + rows if self.residual else decoded

@@ -13,13 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, active_row_subset
 from repro.utils.seeding import get_rng
 
 
 def sample_gumbel(shape: tuple[int, ...], eps: float = 1e-10) -> np.ndarray:
-    """Draw standard Gumbel(0, 1) noise."""
-    uniform = get_rng().random(shape)
+    """Draw standard Gumbel(0, 1) noise.
+
+    Under a :func:`~repro.tensor.row_subset` whose rows lead ``shape``,
+    the uniforms are drawn for the subset's full layout and then gathered,
+    so the RNG stream advances exactly as it does for the dense batch.
+    """
+    shape = tuple(shape)
+    subset = active_row_subset()
+    if subset is not None and shape and shape[0] == subset.size:
+        uniform = subset.gather(get_rng().random((subset.total,) + shape[1:]))
+    else:
+        uniform = get_rng().random(shape)
     return -np.log(-np.log(uniform + eps) + eps)
 
 

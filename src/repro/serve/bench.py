@@ -103,8 +103,7 @@ def bench_single_request(model: ISRec, engine: RecommendationEngine,
     def train_forward() -> np.ndarray:
         # The naive baseline: push the request through the training stack —
         # gradients enabled, dropout active, a full tape built and dropped.
-        states = model.sequence_output(inputs)
-        logits = model.all_item_logits(states[:, -1, :])
+        logits = model.all_item_logits(model.final_state(inputs))
         row = logits.data[0]
         return np.argpartition(row, -top_k)[-top_k:]
 

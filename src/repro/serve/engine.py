@@ -140,8 +140,7 @@ class RecommendationEngine:
                      for user in users]
         inputs = pad_left(histories, self.max_len)
         with inference_mode():
-            states = self.model.sequence_output(inputs)
-        last = np.asarray(states.data)[:, -1, :]
+            last = self.model.final_state(inputs).data
         for row, user in enumerate(users):
             # Explicit copy: ``last[row]`` is a *view* into the forward
             # buffer, which arena-pooled backends recycle after the request.
@@ -241,8 +240,7 @@ class RecommendationEngine:
         training-side report exactly.
         """
         with inference_mode():
-            states = self.model.sequence_output(inputs)
-            last = states[:, -1, :]  # (batch, dim)
+            last = self.model.final_state(inputs)  # (batch, dim)
             embeddings = self.model.item_embedding(candidates)  # (batch, C, dim)
             scores = (embeddings @ last.reshape(last.shape[0], last.shape[1], 1))
         return scores.data[:, :, 0].astype(np.float64)

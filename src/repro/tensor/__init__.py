@@ -11,6 +11,10 @@ reproduction.  It provides:
   training hot path (softmax, cross-entropy, masked attention, layer norm,
   InfoNCE, the Eq. 11 concept-bank decode) with hand-derived VJPs; toggled
   globally via ``fused.use_fused``.
+- :class:`~repro.tensor.tensor.RowSubset` with :func:`gather_rows`,
+  :func:`merge_rows` and the :func:`row_subset` scope — run a per-row
+  computation on only the rows that are read while every GEMM keeps the
+  dense layout, so the result is bit-identical to the dense computation.
 - :mod:`~repro.tensor.gradcheck` — numerical gradient checking used by the
   test-suite to validate every analytic gradient.
 - :mod:`~repro.tensor.backend` — the pluggable dense-compute seam: every
@@ -28,7 +32,8 @@ from repro.tensor.backend import (
     set_backend, use_backend,
 )
 from repro.tensor.tensor import (
-    Tensor, no_grad, inference_mode, is_grad_enabled, is_inference_mode,
+    RowSubset, Tensor, active_row_subset, gather_rows, merge_rows, row_subset,
+    no_grad, inference_mode, is_grad_enabled, is_inference_mode,
     tensor, tensor_allocs, graph_nodes, zeros, ones, arange,
 )
 from repro.tensor import backend
@@ -55,6 +60,11 @@ __all__ = [
     "arange",
     "no_grad",
     "inference_mode",
+    "RowSubset",
+    "row_subset",
+    "active_row_subset",
+    "gather_rows",
+    "merge_rows",
     "is_grad_enabled",
     "is_inference_mode",
     "functional",

@@ -21,6 +21,7 @@ closures may outlive any backend scope.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +107,85 @@ def is_inference_mode() -> bool:
 def is_grad_enabled() -> bool:
     """Return whether operations are currently recorded onto the tape."""
     return _GRAD_ENABLED
+
+
+class RowSubset:
+    """Ascending positions ``index`` into the rows of a ``(*shape, ...)`` layout.
+
+    The layout's leading ``shape`` axes (``(B, T)`` for a sequence batch)
+    flatten to ``total`` rows; a subset names the rows a per-row
+    computation actually needs.  :func:`gather_rows` and
+    :func:`merge_rows` move tensors between the two layouts, and a
+    :func:`row_subset` scope keeps row-folded GEMMs on the full one.
+    """
+
+    __slots__ = ("index", "shape", "total")
+
+    def __init__(self, index, shape: tuple[int, ...]):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.shape = tuple(int(s) for s in shape)
+        self.total = int(np.prod(self.shape))
+
+    @property
+    def size(self) -> int:
+        """Number of selected rows."""
+        return int(self.index.size)
+
+    @property
+    def is_full(self) -> bool:
+        """Whether the subset selects every row (in order)."""
+        return self.index.size == self.total
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """``(size, ...)`` rows into a ``(total, ...)`` array, zero elsewhere."""
+        if self.is_full:
+            return rows
+        out = np.zeros((self.total,) + rows.shape[1:], dtype=rows.dtype)
+        out[self.index] = rows
+        return out
+
+    def gather(self, data: np.ndarray) -> np.ndarray:
+        """The selected rows of a ``(total, ...)`` array."""
+        return data if self.is_full else data[self.index]
+
+
+class _RowSubsetScope(threading.local):
+    subset: RowSubset | None = None
+
+
+_ROW_SCOPE = _RowSubsetScope()
+
+
+@contextlib.contextmanager
+def row_subset(subset: RowSubset):
+    """Keep row-folded GEMMs of a gathered row set on the full layout.
+
+    Inside the scope, a product ``a @ w`` whose left operand has
+    ``subset.size`` leading rows and whose right operand is a matrix runs
+    its forward GEMM and both gradient GEMMs on the zero-padded
+    ``subset.total``-row layout, then keeps the selected rows.  BLAS picks
+    its kernel and blocking from the shapes (OpenBLAS, for one, switches to
+    a small-matrix kernel with a different summation order below a size
+    threshold), so only a GEMM of the dense shape reproduces the dense
+    product bit for bit — and the weight gradient, a reduction over rows,
+    needs the skipped rows present as zeros for the same reason.
+
+    The subset is captured when the product is recorded, like
+    :func:`no_grad`; the backward closure never reads the scope.  The scope
+    is per thread, so a serving thread cannot reshape another thread's
+    products.
+    """
+    previous = _ROW_SCOPE.subset
+    _ROW_SCOPE.subset = subset
+    try:
+        yield
+    finally:
+        _ROW_SCOPE.subset = previous
+
+
+def active_row_subset() -> RowSubset | None:
+    """This thread's :func:`row_subset` in scope, or ``None``."""
+    return _ROW_SCOPE.subset
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -408,6 +488,10 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
+        subset = _ROW_SCOPE.subset
+        if (subset is not None and other.data.ndim == 2 and self.data.ndim >= 2
+                and self.data.shape[0] == subset.size):
+            return self._row_subset_matmul(other, subset)
         out = self._make(_matmul(self.data, other.data), (self, other), "matmul")
         if out.requires_grad:
             a, b = self, other
@@ -438,6 +522,30 @@ class Tensor:
                         if b.data.ndim == 1 and gb.ndim > 1:
                             gb = gb.sum(axis=tuple(range(gb.ndim - 1)))
                         b._accumulate(_unbroadcast(gb, b.shape))
+
+            out._backward = backward
+        return out
+
+    def _row_subset_matmul(self, other: "Tensor", subset: RowSubset) -> "Tensor":
+        """``(rows, ..., k) @ (k, m)`` evaluated on the full layout of ``subset``.
+
+        The same three GEMMs as the dense folded product — ``A W``,
+        ``G Wᵀ`` and ``Aᵀ G`` over ``subset.total * prod(...)`` rows — with
+        zero rows at the positions the subset skips (see
+        :func:`row_subset`).
+        """
+        a, b = self, other
+        full_a = subset.scatter(a.data)
+        out = self._make(subset.gather(_matmul(full_a, b.data)), (a, b), "matmul")
+        if out.requires_grad:
+            def backward(grad: np.ndarray) -> None:
+                full_g = subset.scatter(grad)
+                if a.requires_grad:
+                    a._accumulate(subset.gather(
+                        _matmul(full_g, np.swapaxes(b.data, -1, -2))))
+                if b.requires_grad:
+                    flat_a = full_a.reshape(-1, full_a.shape[-1])
+                    b._accumulate(flat_a.T @ full_g.reshape(-1, full_g.shape[-1]))
 
             out._backward = backward
         return out
@@ -770,6 +878,39 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
                 a._accumulate(_unbroadcast(np.where(cond, grad, 0.0), a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.shape))
+
+        out._backward = backward
+    return out
+
+
+def gather_rows(x: Tensor, subset: RowSubset) -> Tensor:
+    """The ``(subset.size, ...)`` selected rows of ``x`` (``(*subset.shape, ...)``)."""
+    trailing = x.shape[len(subset.shape):]
+    out = x._make(subset.gather(x.data.reshape((subset.total,) + trailing)),
+                  (x,), "gather_rows")
+    if out.requires_grad:
+        def backward(grad: np.ndarray) -> None:
+            x._accumulate(subset.scatter(grad).reshape(x.shape))
+
+        out._backward = backward
+    return out
+
+
+def merge_rows(base: Tensor, rows: Tensor, subset: RowSubset) -> Tensor:
+    """``base`` with its ``subset`` rows replaced by ``rows`` (one tape node)."""
+    trailing = base.shape[len(subset.shape):]
+    data = base.data.reshape((subset.total,) + trailing).copy()
+    data[subset.index] = rows.data
+    out = base._make(data.reshape(base.shape), (base, rows), "merge_rows")
+    if out.requires_grad:
+        def backward(grad: np.ndarray) -> None:
+            flat = grad.reshape((subset.total,) + trailing)
+            if base.requires_grad:
+                passed = flat.copy()
+                passed[subset.index] = 0.0
+                base._accumulate(passed.reshape(base.shape))
+            if rows.requires_grad:
+                rows._accumulate(flat[subset.index])
 
         out._backward = backward
     return out

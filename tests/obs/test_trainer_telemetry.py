@@ -173,6 +173,33 @@ class TestKernelDispatchTelemetry:
         assert snap["kernel_dispatch.concept_bank_decode.fused"]["value"] == 1
         assert snap["kernel_dispatch.concept_bank_decode.composed"]["value"] == 1
 
+    def test_isrec_intent_rows_dispatch_and_live_share(self, tiny_dataset,
+                                                      tiny_split):
+        """Each ISRec forward reports its intent-row path; a live-row
+        training forward also observes its live-row share."""
+        model, batch = _isrec_and_batch(tiny_dataset, tiny_split)
+        inputs = batch[1]
+        live = (inputs != 0)
+        live[:, -1] = True
+        registry = obs.MetricsRegistry()
+        previous = obs.set_registry(registry)
+        try:
+            with obs.use_telemetry():
+                with fused.use_fused(True):
+                    model.training_loss(batch)
+                    model.final_state(inputs)
+                with fused.use_fused(False):
+                    model.training_loss(batch)
+                    model.final_state(inputs)
+        finally:
+            obs.set_registry(previous)
+        snap = registry.snapshot()
+        assert snap["kernel_dispatch.intent_rows.live"]["value"] == 2
+        assert snap["kernel_dispatch.intent_rows.reference"]["value"] == 2
+        share = snap["intent_rows.live_share"]
+        assert share["count"] == 1
+        assert share["last"] == live.mean()
+
 
 class TestTelemetryOverhead:
     """Deterministic (counted, not timed) overhead guarantees.
@@ -210,8 +237,13 @@ class TestTelemetryOverhead:
             assert not obs.telemetry_enabled()
             with fused.use_fused(True):
                 model.training_loss(batch).backward()
+                model.final_state(batch[1])
+            with fused.use_fused(False):
+                model.training_loss(batch).backward()
         finally:
             obs.set_registry(previous)
+        # Neither the intent-row dispatch counters nor the live-share
+        # histogram (nor anything else) was touched.
         assert registry.snapshot() == {}
 
     def test_enabled_step_instrumentation_is_constant_per_step(self):
