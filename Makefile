@@ -1,6 +1,6 @@
 # Canonical workflows for the ISRec reproduction.
 
-.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-kernels bench-serve bench-serve-cluster bench-parallel bench-backends bench-online bench-isrec telemetry-report table2 table-intents table-graphs figures lint
+.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-kernels bench-serve bench-serve-cluster bench-parallel bench-online bench-isrec telemetry-report table2 table-intents table-graphs figures lint
 
 install:
 	pip install -e . || \
@@ -44,9 +44,6 @@ bench-kernels:    ## fused vs composed kernel microbench, writes BENCH_kernels.j
 
 bench-serve:      ## serving latency/load benchmark, writes BENCH_serve.json (<60 s)
 	PYTHONPATH=src python -m repro.serve.bench --out BENCH_serve.json
-
-bench-backends:   ## backend seam benchmark (float32/arena/int8), writes BENCH_backends.json (<5 min)
-	PYTHONPATH=src python -m repro.utils.bench_backends --out BENCH_backends.json
 
 bench-serve-cluster: ## cluster load + kill-recovery benchmark, writes BENCH_serve_cluster.json (<2 min)
 	PYTHONPATH=src python -m repro.serve.loadgen --out BENCH_serve_cluster.json

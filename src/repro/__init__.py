@@ -36,7 +36,7 @@ from repro.data import load_dataset, split_leave_one_out
 from repro.eval import MetricReport, RankingEvaluator, evaluate_model
 from repro.train import TrainConfig
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ISRec",

@@ -4,10 +4,9 @@ All initialisers draw from the global generator in :mod:`repro.utils.seeding`
 so that :func:`repro.utils.set_seed` makes model construction deterministic.
 
 The float dtype of every freshly initialised parameter comes from the
-active compute backend (:func:`repro.tensor.backend.active_backend`):
-float32 under the default backend, float64 under ``use_backend("float64")``
-— this is what lets the backend benchmark build the *same* architecture at
-two precisions and measure the train-step gap.
+active dtype policy (:func:`repro.tensor.backend.active_backend`): float32
+by default, float64 under ``use_backend("float64")`` — so the *same*
+architecture can be built at both precisions from the same draws.
 """
 
 from __future__ import annotations

@@ -10,17 +10,17 @@ recommendation service without ever building an autograd tape:
   forced-eval mode.
 - :mod:`repro.serve.engine` — :class:`RecommendationEngine`: an LRU cache
   of per-user encoder states, incremental refresh on new interactions,
-  exact top-K over the full item vocabulary via partial sort, and
-  seen-item suppression.  Scoring runs under
-  :func:`repro.tensor.inference_mode`, so a request allocates **zero**
-  graph nodes, and the candidate-scoring path is expression-identical to
+  exact top-K over the full item vocabulary via partial sort into a
+  reused scores buffer, and memoised seen-item suppression.  Scoring
+  runs under :func:`repro.tensor.inference_mode`, so a request allocates
+  **zero** graph nodes, and the candidate-scoring path is
+  expression-identical to
   ``SequenceRecommender.score`` — the engine is bit-for-bit consistent
   with the offline :class:`~repro.eval.evaluator.RankingEvaluator`.
-- :mod:`repro.serve.quantize` — int8 weight quantization for inference:
-  per-channel symmetric codecs applied at ``export_artifact(...,
-  quantize="int8")`` time, the :class:`QuantizedEngine` float32/float16
-  scoring hot path (plus an honest :func:`int8_gemv` mode), and the
-  :func:`engine_for_artifact` factory the cluster builds workers through.
+- :mod:`repro.serve.quantize` — the int8 artifact codec: per-channel
+  symmetric quantization applied at ``export_artifact(...,
+  quantize="int8")`` time and decoded to float32 by ``load_artifact``, so
+  quantized artifacts serve through the same engine.
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
   concurrent ``recommend(user, k)`` calls into padded batches on a
   background thread.
@@ -46,20 +46,13 @@ from repro.serve.artifact import (
     export_artifact,
     export_checkpoint,
     load_artifact,
-    read_quantization,
     register_model,
     servable_models,
 )
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cluster import ClusterConfig, ServingCluster
 from repro.serve.engine import RecommendationEngine
-from repro.serve.quantize import (
-    QuantizedEngine,
-    dequantize,
-    engine_for_artifact,
-    int8_gemv,
-    quantize_per_channel,
-)
+from repro.serve.quantize import dequantize, quantize_per_channel
 from repro.serve.router import (
     DeadlineExceeded,
     Overloaded,
@@ -76,12 +69,8 @@ __all__ = [
     "register_model",
     "servable_models",
     "RecommendationEngine",
-    "QuantizedEngine",
-    "engine_for_artifact",
     "quantize_per_channel",
     "dequantize",
-    "int8_gemv",
-    "read_quantization",
     "MicroBatcher",
     "ServingCluster",
     "ClusterConfig",

@@ -50,8 +50,8 @@ import numpy as np
 from repro import obs
 from repro.models.pop import PopRec
 from repro.online.events import EventLog
-from repro.serve.artifact import ARTIFACT_KIND
-from repro.serve.quantize import engine_for_artifact
+from repro.serve.artifact import ARTIFACT_KIND, load_artifact
+from repro.serve.engine import RecommendationEngine
 from repro.serve.router import (
     DeadlineExceeded,
     Router,
@@ -75,12 +75,12 @@ from repro.utils.serialization import (
 def _build_engine(artifact_path: str, cache_size: int, fault_plan):
     """Build the (optionally faulty) worker engine for an artifact.
 
-    Routed through :func:`~repro.serve.quantize.engine_for_artifact`, so a
-    worker handed an int8-quantized artifact — at boot or mid-roll via
-    :meth:`ServingCluster.swap` — transparently serves it through a
-    :class:`~repro.serve.quantize.QuantizedEngine`.
+    :func:`~repro.serve.artifact.load_artifact` decodes int8-quantized
+    artifacts, so a worker handed one — at boot or mid-roll via
+    :meth:`ServingCluster.swap` — serves it like any other.
     """
-    engine = engine_for_artifact(artifact_path, cache_size=cache_size)
+    engine = RecommendationEngine(load_artifact(artifact_path),
+                                  cache_size=cache_size)
     if fault_plan is not None:
         from repro.utils.faults import FaultyServeEngine
 
@@ -224,6 +224,11 @@ class ClusterConfig:
                 f"event_capacity must be >= 1, got {self.event_capacity}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.golden_probe_k < 1:
+            # k <= 0 gets [] from every engine, so the canary would pass
+            # any artifact.
+            raise ValueError(
+                f"golden_probe_k must be >= 1, got {self.golden_probe_k}")
         for name in ("default_deadline_s", "backoff_base_s", "backoff_cap_s",
                      "liveness_timeout_s", "down_gate_s",
                      "heartbeat_interval_s", "check_interval_s",

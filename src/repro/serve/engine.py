@@ -19,7 +19,15 @@ exact partial sort: ``np.argpartition`` over the full-vocabulary logits
 (the same ``state @ V^T`` product as Eq. 12) followed by an ordering sort
 of just the ``k`` winners, with the padding column and — optionally —
 already-seen items suppressed to ``-inf``, mirroring the
-``suppress_index`` convention of the fused training kernel.
+``suppress_index`` convention of the fused training kernel.  The logits
+go into one scores buffer reused under the engine lock, in the item
+table's dtype; each user's deduplicated seen-item index is memoised until
+their history changes; and the result list is built with vectorised
+``tolist()``.
+
+The same engine serves int8 artifacts (``export_artifact(...,
+quantize="int8")``): :func:`~repro.serve.artifact.load_artifact` decodes
+them to a float32 item table at load, so there is one scoring path.
 
 For offline validation the engine also implements the
 ``score(users, inputs, candidates)`` protocol of
@@ -70,6 +78,12 @@ class RecommendationEngine:
         self.max_len = model.max_len
         self._histories: dict[int, list[int]] = {}
         self._states: OrderedDict[int, np.ndarray] = OrderedDict()
+        # Per-user deduplicated seen-item ids, kept while the state is
+        # cached (recomputing ``np.unique`` of the history on every warm
+        # request costs more than the suppression itself).
+        self._seen: dict[int, np.ndarray] = {}
+        # Full-vocabulary scores, reused by every request under the lock.
+        self._scores = np.empty(0, dtype=np.float32)
         # One reentrant lock serialises every history/state-cache mutation:
         # concurrent recommend()/observe() callers would otherwise race the
         # LRU (an eviction between _state_for and _topk drops the entry).
@@ -83,10 +97,11 @@ class RecommendationEngine:
 
         Called under the engine lock by every history mutation, so a
         mutation and its cache invalidation are atomic with respect to
-        concurrent requests.  Subclasses caching more per-user state
-        (e.g. the quantized engine's seen-item index) extend this.
+        concurrent requests: a request never sees the new history with the
+        stale state or seen-item index.
         """
         self._states.pop(user, None)
+        self._seen.pop(user, None)
 
     def set_history(self, user: int, items) -> None:
         """Replace ``user``'s interaction history (invalidates the state)."""
@@ -128,7 +143,8 @@ class RecommendationEngine:
         self._states[user] = state
         self._states.move_to_end(user)
         while len(self._states) > self.cache_size:
-            self._states.popitem(last=False)
+            evicted, _state = self._states.popitem(last=False)
+            self._seen.pop(evicted, None)
             if obs.telemetry_enabled():
                 obs.counter("serve.cache.evictions").inc()
         if obs.telemetry_enabled():
@@ -142,8 +158,8 @@ class RecommendationEngine:
         with inference_mode():
             last = self.model.final_state(inputs).data
         for row, user in enumerate(users):
-            # Explicit copy: ``last[row]`` is a *view* into the forward
-            # buffer, which arena-pooled backends recycle after the request.
+            # Explicit copy: ``last[row]`` is a *view* into the batch's
+            # forward buffer, and a cached state must not pin all of it.
             self._cache_put(user, last[row].copy())
 
     def _state_for(self, user: int) -> np.ndarray:
@@ -158,24 +174,41 @@ class RecommendationEngine:
     # ------------------------------------------------------------------
     # Recommendation
     # ------------------------------------------------------------------
+    def _seen_index(self, user: int, limit: int) -> np.ndarray:
+        suppress = self._seen.get(user)
+        if suppress is None:
+            seen = self._histories.get(user)
+            suppress = np.unique(np.asarray(seen if seen else [], dtype=np.int64))
+            suppress = suppress[(suppress > 0) & (suppress < limit)]
+            self._seen[user] = suppress
+        return suppress
+
     def _topk(self, user: int, k: int, filter_seen: bool) -> list[tuple[int, float]]:
-        """Exact top-``k`` (item, score) pairs for an already-cached user."""
+        """Exact top-``k`` (item, score) pairs for an already-cached user.
+
+        ``k <= 0`` asks for nothing and gets ``[]``, as the degraded
+        popularity fallback answers.
+        """
+        k = min(int(k), self.model.num_items)
+        if k <= 0:
+            return []
         state = self._states[user]
         weights = self.model.item_embedding.weight.data  # (V + 1, dim)
-        scores = (weights @ state).astype(np.float64)
+        dtype = np.result_type(weights, state)
+        if self._scores.shape[0] != weights.shape[0] or self._scores.dtype != dtype:
+            self._scores = np.empty(weights.shape[0], dtype=dtype)
+        scores = np.matmul(weights, state, out=self._scores)
         scores[0] = -np.inf  # padding id is never recommended
         if filter_seen:
-            seen = self._histories.get(user)
-            if seen:
-                suppress = np.unique(np.asarray(seen, dtype=np.int64))
-                suppress = suppress[(suppress > 0) & (suppress < len(scores))]
+            suppress = self._seen_index(user, len(scores))
+            if suppress.size:
                 scores[suppress] = -np.inf
-        k = min(int(k), self.model.num_items)
         winners = np.argpartition(scores, -k)[-k:]
         # Order the k winners by descending score, ties by ascending item id.
         winners = winners[np.lexsort((winners, -scores[winners]))]
-        return [(int(item), float(scores[item]))
-                for item in winners if np.isfinite(scores[item])]
+        values = scores[winners]
+        finite = np.isfinite(values)
+        return list(zip(winners[finite].tolist(), values[finite].tolist()))
 
     def recommend(self, user: int, k: int = 10,
                   filter_seen: bool = True) -> list[tuple[int, float]]:

@@ -1,45 +1,25 @@
-"""Int8 weight quantization for the inference-only serving path.
+"""Int8 weight quantization: the artifact codec.
 
 Training stays in float; quantization happens once, at
-:func:`~repro.serve.artifact.export_artifact` time, and only touches the
-artifact and the serving stack:
+:func:`~repro.serve.artifact.export_artifact` time (``quantize="int8"``),
+and is undone once, at :func:`~repro.serve.artifact.load_artifact` time:
 
-- :func:`quantize_per_channel` / :func:`dequantize` — symmetric per-channel
-  int8 codecs for weight matrices: one float32 scale per output channel
-  (row), values clipped to ``[-127, 127]`` so the representable range is
-  symmetric and zero is exact.  A ``dim=64`` embedding table shrinks 4x.
-- :func:`int8_gemv` — the honest integer product: quantizes the activation
-  per-tensor, accumulates in int32, and rescales to float32.  On a pure
-  numpy substrate this is *slower* than letting BLAS run the float32 GEMV
-  (numpy has no int8 SIMD kernels; the int32 upcast alone costs more than
-  the float product), which is why it exists as an explicitly selectable
-  mode rather than the default — the backend benchmark measures both and
-  records the truth in ``BENCH_backends.json``.
-- :class:`QuantizedEngine` — a :class:`~repro.serve.engine.RecommendationEngine`
-  whose scoring hot path is rebuilt around the quantized table: the int8
-  weights are dequantized **once at load** into a contiguous float32 table,
-  per-request scoring runs entirely in float32 into a preallocated scores
-  buffer (the base engine upcasts every request's full-vocabulary scores to
-  a fresh float64 array), and cached encoder states are stored as float16,
-  halving state-cache memory.  ``gemm="int8"`` switches the scoring product
-  to :func:`int8_gemv`.
-- :func:`engine_for_artifact` — the factory the cluster workers use: it
-  inspects the artifact's metadata and builds a :class:`QuantizedEngine`
-  for quantized artifacts, a plain engine otherwise, so int8 artifacts roll
-  through :meth:`~repro.serve.cluster.ServingCluster.swap` unchanged.
+- :func:`quantize_per_channel` — symmetric per-channel int8 encoding of a
+  weight matrix: one float32 scale per output channel (row), values
+  clipped to ``[-127, 127]`` so the representable range is symmetric and
+  zero is exact.  A ``dim=64`` embedding table shrinks 4x on disk.
+- :func:`dequantize` — the float32 decode ``load_artifact`` applies, so a
+  quantized artifact serves through the one
+  :class:`~repro.serve.engine.RecommendationEngine` scoring path.
 
-Accuracy is validated two ways (``tests/serve/test_quantized.py`` and the
-benchmark): top-10 overlap against the exact engine, and HR@10/NDCG@10
-parity of the quantized artifact under the offline evaluator.
+Accuracy is validated in ``tests/serve/test_quantized.py``: top-10 overlap
+against the float artifact, and HR@10/NDCG@10 parity under the offline
+evaluator.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
-
-from repro.serve.engine import RecommendationEngine
 
 #: Quantization modes accepted by ``export_artifact(quantize=...)``.
 QUANT_SCHEMES = ("int8",)
@@ -80,154 +60,3 @@ def dequantize(q: np.ndarray, scales: np.ndarray, axis: int = 0) -> np.ndarray:
     shape[axis] = -1
     scales = np.asarray(scales, dtype=np.float32).reshape(shape)
     return q.astype(np.float32) * scales
-
-
-def int8_gemv(q_matrix: np.ndarray, scales: np.ndarray,
-              x: np.ndarray) -> np.ndarray:
-    """``dequantize(q_matrix) @ x`` computed in integer arithmetic.
-
-    The activation is quantized per-tensor (one scale), the product is
-    accumulated in int32 — exact for ``dim <= 131072`` since each term is
-    bounded by ``127 * 127`` — and the result is rescaled to float32 in one
-    fused multiply.  Kept for fidelity to the int8-GEMM deployment recipe
-    and for hardware where integer dot products *are* the fast path; see
-    the module docstring for why it is not the numpy default.
-    """
-    x32 = np.asarray(x, dtype=np.float32)
-    x_max = float(np.abs(x32).max()) if x32.size else 0.0
-    x_scale = np.float32(x_max / 127.0 if x_max > 0.0 else 1.0)
-    qx = np.clip(np.rint(x32 / x_scale), -127, 127).astype(np.int8)
-    acc = q_matrix.astype(np.int32) @ qx.astype(np.int32)
-    return acc.astype(np.float32) * (np.asarray(scales, dtype=np.float32) * x_scale)
-
-
-class QuantizedEngine(RecommendationEngine):
-    """Serve top-K from an int8-quantized item table.
-
-    Parameters
-    ----------
-    model:
-        The dequantized model from :func:`~repro.serve.artifact.load_artifact`
-        (used for encoder forwards and the offline ``score`` protocol).
-    item_q, item_scales:
-        The raw int8 item-embedding table and its per-row scales, straight
-        from the artifact.
-    gemm:
-        ``"dequant"`` (default) scores with a load-time-dequantized float32
-        table written into a preallocated buffer; ``"int8"`` scores with
-        :func:`int8_gemv`.
-    state_dtype:
-        Storage dtype of cached encoder states (default float16 — half the
-        cache memory; states are upcast to float32 per request).
-    event_log:
-        Optional :class:`~repro.online.EventLog` observe tap (see the base
-        engine).
-    """
-
-    def __init__(self, model, item_q: np.ndarray, item_scales: np.ndarray,
-                 cache_size: int = 1024, gemm: str = "dequant",
-                 state_dtype=np.float16, event_log=None):
-        super().__init__(model, cache_size=cache_size, event_log=event_log)
-        if gemm not in ("dequant", "int8"):
-            raise ValueError(f"gemm must be 'dequant' or 'int8', got {gemm!r}")
-        if np.asarray(item_q).dtype != np.int8:
-            raise TypeError("item_q must be an int8 array")
-        self.gemm = gemm
-        self.name = f"serve-int8({model.name})"
-        self._item_q = np.ascontiguousarray(item_q)
-        self._item_scales = np.asarray(item_scales, dtype=np.float32).reshape(-1)
-        self._table = dequantize(self._item_q, self._item_scales)
-        self._state_dtype = np.dtype(state_dtype)
-        # Reused across requests (all scoring runs under the engine lock),
-        # as is the per-user deduplicated seen-item index (recomputing
-        # ``np.unique`` of the history on every warm request costs more
-        # than the suppression itself).
-        self._scores_buf = np.empty(self._table.shape[0], dtype=np.float32)
-        self._seen_cache: dict[int, np.ndarray] = {}
-
-    def _invalidate_user(self, user: int) -> None:
-        # Runs under the engine lock (base-class contract), making the
-        # history mutation and the seen-index invalidation atomic: a
-        # concurrent recommend can no longer observe the new history with
-        # the stale memoised index.
-        super()._invalidate_user(user)
-        self._seen_cache.pop(user, None)
-
-    def _cache_put(self, user: int, state: np.ndarray) -> None:
-        super()._cache_put(user, state.astype(self._state_dtype))
-
-    def _seen_index(self, user: int) -> np.ndarray:
-        suppress = self._seen_cache.get(user)
-        if suppress is None:
-            seen = self._histories.get(user)
-            suppress = np.unique(np.asarray(seen if seen else [], dtype=np.int64))
-            limit = self._table.shape[0]
-            suppress = suppress[(suppress > 0) & (suppress < limit)]
-            self._seen_cache[user] = suppress
-        return suppress
-
-    def _topk(self, user: int, k: int, filter_seen: bool) -> list[tuple[int, float]]:
-        """Float32 scoring over the quantized table; exact partial sort.
-
-        Unlike the base engine this never materialises a float64 copy of
-        the full-vocabulary scores — the argpartition/lexsort ranking is
-        dtype-agnostic and the returned scores are Python floats anyway —
-        and the result list is assembled through vectorised ``tolist()``
-        instead of per-item numpy scalar conversions.
-        """
-        state = self._states[user].astype(np.float32)
-        if self.gemm == "int8":
-            scores = int8_gemv(self._item_q, self._item_scales, state)
-        else:
-            scores = np.matmul(self._table, state, out=self._scores_buf)
-        scores[0] = -np.inf  # padding id is never recommended
-        if filter_seen:
-            suppress = self._seen_index(user)
-            if suppress.size:
-                scores[suppress] = -np.inf
-        k = min(int(k), self.model.num_items)
-        winners = np.argpartition(scores, -k)[-k:]
-        winners = winners[np.lexsort((winners, -scores[winners]))]
-        values = scores[winners]
-        finite = np.isfinite(values)
-        return list(zip(winners[finite].tolist(),
-                        values[finite].astype(np.float64).tolist()))
-
-    def quantization_info(self) -> dict:
-        """Scheme, table shape, and memory footprint versus float32."""
-        int8_bytes = self._item_q.nbytes + self._item_scales.nbytes
-        return {
-            "scheme": "int8",
-            "gemm": self.gemm,
-            "table_shape": tuple(self._item_q.shape),
-            "state_dtype": self._state_dtype.name,
-            "int8_bytes": int(int8_bytes),
-            "float32_bytes": int(self._table.nbytes),
-            "compression": float(self._table.nbytes / int8_bytes),
-        }
-
-
-def engine_for_artifact(path: str | Path, cache_size: int = 1024,
-                        gemm: str = "dequant",
-                        event_log=None) -> RecommendationEngine:
-    """Build the right engine for an artifact.
-
-    Quantized artifacts (``export_artifact(..., quantize="int8")``) get a
-    :class:`QuantizedEngine` wired to the raw int8 item table; plain
-    artifacts get a :class:`~repro.serve.engine.RecommendationEngine`.
-    This is the factory :class:`~repro.serve.cluster.ServingCluster`
-    workers build their shards through, which is what makes artifact
-    hot-swap quantization-transparent.
-    """
-    from repro.serve.artifact import load_artifact, read_quantization
-
-    model = load_artifact(path)
-    quantized = read_quantization(path)
-    if quantized:
-        for name, (q, scales) in quantized.items():
-            if name.endswith("item_embedding.weight"):
-                return QuantizedEngine(model, q, scales,
-                                       cache_size=cache_size, gemm=gemm,
-                                       event_log=event_log)
-    return RecommendationEngine(model, cache_size=cache_size,
-                                event_log=event_log)

@@ -17,19 +17,18 @@ reproduction.  It provides:
   dense layout, so the result is bit-identical to the dense computation.
 - :mod:`~repro.tensor.gradcheck` — numerical gradient checking used by the
   test-suite to validate every analytic gradient.
-- :mod:`~repro.tensor.backend` — the pluggable dense-compute seam: every
-  matmul/elementwise/reduction/RNG/allocation call dispatches through the
-  active :class:`~repro.tensor.backend.Backend` (default numpy float32,
-  plus ``float64``, strict ``float32``, and pooled-allocation ``arena``
-  backends), selected with ``use_backend`` just like ``use_fused``.
+- :mod:`~repro.tensor.backend` — the dtype policy: the float dtype new
+  tensors and freshly initialised parameters take, ``float32`` by default
+  and ``float64`` as the full-precision reference, selected with
+  ``use_backend`` just like ``use_fused``.  Dense compute is plain numpy
+  under both.
 
 Every operation supports numpy-style broadcasting; gradients of broadcast
 operands are reduced back to the operand's shape.
 """
 
 from repro.tensor.backend import (
-    ArenaBackend, Backend, active_backend, array_allocs, available_backends,
-    set_backend, use_backend,
+    Backend, active_backend, available_backends, use_backend,
 )
 from repro.tensor.tensor import (
     RowSubset, Tensor, active_row_subset, gather_rows, merge_rows, row_subset,
@@ -49,11 +48,8 @@ __all__ = [
     "graph_nodes",
     "backend",
     "Backend",
-    "ArenaBackend",
     "active_backend",
-    "array_allocs",
     "available_backends",
-    "set_backend",
     "use_backend",
     "zeros",
     "ones",

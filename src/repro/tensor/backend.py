@@ -1,104 +1,51 @@
-"""Pluggable dense-compute backends for the autograd substrate.
+"""The dtype policy of the autograd substrate.
 
-Every dense operation of :class:`~repro.tensor.tensor.Tensor` and the fused
-kernels (:mod:`repro.tensor.fused`) routes through one small seam — the
-active :class:`Backend` — instead of calling numpy directly.  A backend
-owns five concerns:
+Dense compute is plain numpy; what varies is the floating dtype that new
+tensors and freshly initialised parameters take.  Two policies ship,
+selected per thread with :func:`use_backend` (mirroring
+``fused.use_fused``):
 
-- **dtype policy** (:meth:`Backend.coerce`, :attr:`Backend.dtype`) — what
-  floating dtype new tensors and freshly initialised parameters use, and
-  which input dtypes pass through untouched;
-- **matmul** (:meth:`Backend.matmul`) — including the batched-by-2D GEMM
-  fold of the projection hot path;
-- **elementwise** (:meth:`Backend.unary` / :meth:`Backend.binary`) —
-  ufunc application for exp/log/add/mul/...;
-- **reductions** (:meth:`Backend.sum` / :meth:`Backend.max`);
-- **RNG and allocation** (:meth:`Backend.random`, :meth:`Backend.empty`) —
-  dropout-mask draws and scratch-buffer allocation.
-
-Four backends ship:
-
-``numpy`` (default)
-    Bit-compatible with the pre-seam substrate: float32 compute dtype,
-    explicit float32/float64 arrays preserved, every op the exact numpy
-    expression the code used before the seam existed.
+``float32`` (default)
+    Parameters initialise in float32, and implicit floats coerce to
+    float32.
 ``float64``
-    Full-precision reference: parameters initialise in float64 and implicit
-    floats coerce to float64.  Explicit float32 arrays are *preserved*, not
-    silently promoted (see :meth:`Backend.coerce`).  This is the baseline
-    the float32 speedup in ``BENCH_backends.json`` is measured against.
-``float32``
-    Strict reduced precision: float64 arrays are demoted to float32 on
-    tensor construction, so e.g. a float64 checkpoint runs in float32.
-    Training was already float32-native, so this backend is numerically
-    identical to ``numpy`` on the training path; the strictness matters
-    when float64 data leaks in.
-``arena``
-    A pooling wrapper over the default backend: inside an
-    :meth:`ArenaBackend.scope`, forward-pass scratch buffers (matmul
-    outputs, elementwise results) are served from a free-list keyed by
-    ``(shape, dtype)`` and recycled when the scope exits, attacking the
-    allocation counters (:func:`~repro.tensor.tensor.tensor_allocs` /
-    :func:`array_allocs`) on the serving hot path.  Pooling only engages
-    inside :func:`~repro.tensor.tensor.inference_mode` — with a tape being
-    recorded, buffers may outlive the scope, so the arena then behaves
-    exactly like its base backend.
+    The full-precision reference: parameters initialise in float64, and
+    implicit floats coerce to float64.
 
-Select a backend for a scope with :func:`use_backend` (mirroring
-``fused.use_fused``), per-process with :func:`set_backend` or the
-``REPRO_BACKEND`` environment variable (read at import; the CI backend
-matrix runs tier-1 under ``REPRO_BACKEND=float32``).
+Under both policies explicit float32 and float64 arrays pass through
+:class:`~repro.tensor.tensor.Tensor` construction untouched (see
+:meth:`Backend.coerce`)::
+
+    with use_backend("float64"):
+        model = ISRec(...)          # parameters initialise in float64
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 import numpy as np
 
-from repro.obs.registry import record_backend_dispatch
-
-# Monotone count of fresh numpy result buffers allocated through the seam
-# (matmul/elementwise/reduction/RNG results, ``empty``, and arena pool
-# misses).  The arena benchmark reads deltas of this counter: a pool hit
-# does not increment it, so the drop between base and arena runs is the
-# allocation win.
-_ARRAY_ALLOCS = 0
-
-
-def array_allocs() -> int:
-    """Number of numpy buffers allocated through the backend seam so far."""
-    return _ARRAY_ALLOCS
-
 
 class Backend:
-    """Default numpy backend; the base class every other backend refines.
+    """One dtype policy: a registry name and the float dtype new data takes."""
 
-    The method bodies here are the *exact* expressions the substrate used
-    before the seam existed, so the default backend is bit-compatible with
-    the pre-seam code by construction.
-    """
+    __slots__ = ("name", "dtype")
 
-    #: Registry name (``use_backend(name)``).
-    name = "numpy"
-    #: Floating dtype for parameter init and implicit tensor data.
-    dtype = np.float32
+    def __init__(self, name: str, dtype):
+        self.name = name
+        self.dtype = dtype
 
-    # ------------------------------------------------------------------
-    # dtype policy
-    # ------------------------------------------------------------------
     def coerce(self, arr: np.ndarray) -> np.ndarray:
-        """Apply this backend's dtype policy to a freshly built array.
+        """Apply this policy to a freshly built array.
 
         Explicit float32 and float64 arrays always pass through untouched —
         float64 because gradcheck depends on full-precision round-trips,
-        float32 because demoting-free pass-through is what keeps a
-        non-default backend from silently promoting the (float32) training
-        data.  Other float dtypes (float16, longdouble) and non-numeric
-        data coerce to :attr:`dtype`; integer and boolean arrays are kept
-        for index/mask tensors.
+        float32 because the float64 reference must not silently promote the
+        (float32) training data.  Other float dtypes (float16, longdouble)
+        and non-numeric data coerce to :attr:`dtype`; integer and boolean
+        arrays are kept for index/mask tensors.
         """
         kind = arr.dtype.kind
         if kind == "f":
@@ -109,280 +56,22 @@ class Backend:
             return arr
         return arr.astype(self.dtype)
 
-    # ------------------------------------------------------------------
-    # Allocation (arena hook points)
-    # ------------------------------------------------------------------
-    def empty(self, shape, dtype) -> np.ndarray:
-        """Uninitialised scratch buffer (pooled under the arena backend)."""
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        return np.empty(shape, dtype=dtype)
-
-    # ------------------------------------------------------------------
-    # Matmul
-    # ------------------------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``a @ b`` with batched-by-2D products folded into a single GEMM.
-
-        ``(..., n, k) @ (k, m)`` runs noticeably faster as one
-        ``(prod(...) * n, k) @ (k, m)`` BLAS call than as numpy's gufunc
-        loop of per-batch products — this shape is the projection/linear
-        hot path (``states @ W``) of every training step.
-        """
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        record_backend_dispatch(self.name, "matmul")
-        if a.ndim > 2 and b.ndim == 2:
-            return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
-        return a @ b
-
-    # ------------------------------------------------------------------
-    # Elementwise
-    # ------------------------------------------------------------------
-    def unary(self, ufunc, x: np.ndarray) -> np.ndarray:
-        """Apply a unary ufunc (``np.exp``, ``np.log``, ``np.tanh``, ...)."""
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        return ufunc(x)
-
-    def binary(self, ufunc, a, b) -> np.ndarray:
-        """Apply a binary ufunc (``np.add``, ``np.multiply``, ...)."""
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        return ufunc(a, b)
-
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
-    def sum(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        """Summation over ``axis`` (or all elements)."""
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    def max(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        """Maximum over ``axis`` (or all elements)."""
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        return x.max(axis=axis, keepdims=keepdims)
-
-    # ------------------------------------------------------------------
-    # RNG
-    # ------------------------------------------------------------------
-    def random(self, rng: np.random.Generator, shape, dtype) -> np.ndarray:
-        """Uniform [0, 1) draws, natively in ``dtype`` when the generator can.
-
-        Drawing float32 directly halves the RNG bandwidth of every dropout
-        mask on the float32 training hot path.
-        """
-        global _ARRAY_ALLOCS
-        _ARRAY_ALLOCS += 1
-        if dtype == np.float32:
-            return rng.random(shape, dtype=np.float32)
-        return rng.random(shape)
-
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r} dtype={np.dtype(self.dtype).name}>"
+        return f"<Backend name={self.name!r}>"
 
 
-class NumpyBackend(Backend):
-    """Alias of the base backend under its registry name."""
-
-
-class Float64Backend(Backend):
-    """Full-precision backend: float64 parameters and implicit data."""
-
-    name = "float64"
-    dtype = np.float64
-
-
-class Float32Backend(Backend):
-    """Strict float32 backend: float64 tensor data is demoted on entry."""
-
-    name = "float32"
-    dtype = np.float32
-
-    def coerce(self, arr: np.ndarray) -> np.ndarray:
-        kind = arr.dtype.kind
-        if kind == "f":
-            if arr.dtype == np.float32:
-                return arr
-            return arr.astype(np.float32)
-        if kind in "iub":
-            return arr
-        return arr.astype(np.float32)
-
-
-class ArenaBackend(Backend):
-    """Pooled-allocation wrapper recycling inference-forward buffers.
-
-    Inside an active :meth:`scope` *and* :func:`~repro.tensor.tensor.inference_mode`,
-    matmul and (same-dtype float) elementwise results are written into
-    ``out=`` buffers served from a free-list keyed by ``(shape, dtype)``.
-    When the scope exits, every buffer leased during it returns to the
-    pool, so a steady-state serving loop reaches zero fresh allocations
-    per request for its dense intermediates.
-
-    Anything that must outlive the scope (a cached encoder state, returned
-    scores) must be copied out before the scope closes — the serving
-    engine does exactly that.  Outside a scope, or while gradients are
-    enabled (a tape would keep buffers alive indefinitely), the arena
-    degrades to its base backend: plain allocations, nothing pooled.
-
-    The pool is bounded (``max_buffers`` per ``(shape, dtype)`` key); the
-    instrumentation counters ``backend.arena.hits`` / ``backend.arena.misses``
-    record pool effectiveness when telemetry is on.
-    """
-
-    name = "arena"
-    dtype = np.float32
-
-    def __init__(self, base: Backend | None = None, max_buffers: int = 64):
-        self._base = base or NumpyBackend()
-        self.dtype = self._base.dtype
-        self._pool: dict[tuple, list[np.ndarray]] = {}
-        self._leased: list[np.ndarray] = []
-        self._active = 0
-        self._lock = threading.RLock()
-        self.max_buffers = int(max_buffers)
-        self.hits = 0
-        self.misses = 0
-
-    def coerce(self, arr: np.ndarray) -> np.ndarray:
-        return self._base.coerce(arr)
-
-    # ------------------------------------------------------------------
-    # Pool mechanics
-    # ------------------------------------------------------------------
-    def _pooling(self) -> bool:
-        from repro.tensor.tensor import is_inference_mode
-
-        return self._active > 0 and is_inference_mode()
-
-    def _acquire(self, shape: tuple, dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        with self._lock:
-            stack = self._pool.get(key)
-            if stack:
-                buffer = stack.pop()
-                self.hits += 1
-            else:
-                global _ARRAY_ALLOCS
-                _ARRAY_ALLOCS += 1
-                buffer = np.empty(shape, dtype=dtype)
-                self.misses += 1
-            self._leased.append(buffer)
-        return buffer
-
-    @contextlib.contextmanager
-    def scope(self):
-        """Lease pooled buffers until exit, then recycle them all.
-
-        Scopes nest; buffers return to the pool when the outermost scope
-        exits.  Safe only around code whose dense intermediates do not
-        escape the scope un-copied (the inference hot path).
-        """
-        with self._lock:
-            self._active += 1
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._active -= 1
-                if self._active == 0:
-                    for buffer in self._leased:
-                        key = (buffer.shape, buffer.dtype.str)
-                        stack = self._pool.setdefault(key, [])
-                        if len(stack) < self.max_buffers:
-                            stack.append(buffer)
-                    self._leased.clear()
-
-    def pool_stats(self) -> dict:
-        """Hit/miss counts and current pool occupancy."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "pooled_buffers": sum(len(s) for s in self._pool.values()),
-                    "leased": len(self._leased)}
-
-    # ------------------------------------------------------------------
-    # Pooled op implementations
-    # ------------------------------------------------------------------
-    def empty(self, shape, dtype) -> np.ndarray:
-        if self._pooling():
-            return self._acquire(tuple(shape), dtype)
-        return self._base.empty(shape, dtype)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Fallback paths delegate to the base backend, which records its own
-        # dispatch — so (arena - numpy) matmul counts = pooled products.
-        record_backend_dispatch(self.name, "matmul")
-        if not self._pooling() or a.dtype != b.dtype or a.dtype.kind != "f":
-            return self._base.matmul(a, b)
-        if a.ndim > 2 and b.ndim == 2:
-            flat = a.reshape(-1, a.shape[-1])
-            out = self._acquire((flat.shape[0], b.shape[1]), a.dtype)
-            np.matmul(flat, b, out=out)
-            return out.reshape(*a.shape[:-1], b.shape[-1])
-        if a.ndim == 2 and b.ndim == 1:
-            out = self._acquire((a.shape[0],), a.dtype)
-            return np.matmul(a, b, out=out)
-        if a.ndim == 2 and b.ndim == 2:
-            out = self._acquire((a.shape[0], b.shape[1]), a.dtype)
-            return np.matmul(a, b, out=out)
-        if a.ndim > 2 and b.ndim > 2:
-            try:
-                batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-            except ValueError:
-                return self._base.matmul(a, b)
-            out = self._acquire(batch + (a.shape[-2], b.shape[-1]), a.dtype)
-            return np.matmul(a, b, out=out)
-        return self._base.matmul(a, b)
-
-    def binary(self, ufunc, a, b) -> np.ndarray:
-        if (self._pooling() and isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and a.dtype.kind == "f"):
-            try:
-                shape = np.broadcast_shapes(a.shape, b.shape)
-            except ValueError:
-                return self._base.binary(ufunc, a, b)
-            out = self._acquire(shape, a.dtype)
-            return ufunc(a, b, out=out)
-        return self._base.binary(ufunc, a, b)
-
-    def unary(self, ufunc, x: np.ndarray) -> np.ndarray:
-        if self._pooling() and isinstance(x, np.ndarray) and x.dtype.kind == "f":
-            out = self._acquire(x.shape, x.dtype)
-            return ufunc(x, out=out)
-        return self._base.unary(ufunc, x)
-
-
-#: Backend constructors by registry name (``default`` aliases ``numpy``).
+#: The dtype policies by registry name.
 BACKENDS = {
-    "numpy": NumpyBackend,
-    "default": NumpyBackend,
-    "float64": Float64Backend,
-    "float32": Float32Backend,
-    "arena": ArenaBackend,
+    "float32": Backend("float32", np.float32),
+    "float64": Backend("float64", np.float64),
 }
+
+_DEFAULT = BACKENDS["float32"]
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registry names accepted by :func:`use_backend` / :func:`set_backend`."""
+    """Registry names accepted by :func:`use_backend`."""
     return tuple(sorted(BACKENDS))
-
-
-def _resolve(backend: "str | Backend") -> Backend:
-    if isinstance(backend, Backend):
-        return backend
-    try:
-        return BACKENDS[backend]()
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}; available: "
-            f"{', '.join(available_backends())}") from None
-
-
-_GLOBAL_BACKEND: Backend = NumpyBackend()
 
 
 class _ThreadState(threading.local):
@@ -394,47 +83,28 @@ _THREAD = _ThreadState()
 
 
 def active_backend() -> Backend:
-    """The backend dense ops currently dispatch through (thread-aware)."""
+    """The dtype policy in force for this thread."""
     stack = _THREAD.stack
     if stack:
         return stack[-1]
-    return _GLOBAL_BACKEND
-
-
-def set_backend(backend: "str | Backend") -> Backend:
-    """Install the process-global default backend; returns the previous one.
-
-    Thread-scoped :func:`use_backend` overrides still win within their
-    scope.  Accepts a registry name or a :class:`Backend` instance.
-    """
-    global _GLOBAL_BACKEND
-    previous = _GLOBAL_BACKEND
-    _GLOBAL_BACKEND = _resolve(backend)
-    return previous
+    return _DEFAULT
 
 
 @contextlib.contextmanager
-def use_backend(backend: "str | Backend" = "numpy"):
-    """Context manager routing dense ops through ``backend`` for this thread.
+def use_backend(name: str = "float32"):
+    """Context manager applying the ``name`` dtype policy on this thread.
 
-    Mirrors ``fused.use_fused``: the override is scoped and restores the
-    previous backend on exit; other threads are unaffected.  Yields the
-    resolved :class:`Backend` instance so callers can reach backend-specific
-    extras (e.g. :meth:`ArenaBackend.scope`)::
-
-        with use_backend("float64"):
-            model = ISRec(...)          # parameters initialise in float64
+    The override is scoped and restores the previous policy on exit; other
+    threads are unaffected.  Yields the resolved :class:`Backend`.
     """
-    resolved = _resolve(backend)
+    try:
+        resolved = BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r}; available: "
+            f"{', '.join(available_backends())}") from None
     _THREAD.stack.append(resolved)
     try:
         yield resolved
     finally:
         _THREAD.stack.pop()
-
-
-# Honour the environment selector at import (the CI backend matrix sets
-# REPRO_BACKEND=float32 for its second tier-1 leg).
-_ENV_BACKEND = os.environ.get("REPRO_BACKEND", "").strip()
-if _ENV_BACKEND:
-    set_backend(_ENV_BACKEND)

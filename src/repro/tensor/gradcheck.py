@@ -4,13 +4,11 @@ The test-suite calls :func:`gradcheck` on each primitive and composite
 operation; it compares the autograd gradient against a central finite
 difference computed in float64.
 
-:func:`gradcheck` is backend-proof: it always upcasts floating inputs to
+:func:`gradcheck` is policy-proof: it always upcasts floating inputs to
 float64 copies and runs both the analytic and the numerical pass under the
-precision-preserving default backend, so the same suites pass unchanged —
-with the same tolerances — even when the session runs under
-``use_backend("float32")`` (or ``REPRO_BACKEND=float32``), whose dtype
-policy would otherwise demote the float64 probe tensors and drown the
-finite-difference signal in rounding noise.
+default ``"float32"`` dtype policy, which passes explicit float64 arrays
+through untouched, so the same suites pass unchanged — with the same
+tolerances — whichever policy the session has active.
 """
 
 from __future__ import annotations
@@ -70,9 +68,9 @@ def gradcheck(func: Callable[..., Tensor], inputs: Sequence[Tensor],
     inputs:
         Tensors; those with ``requires_grad=True`` are checked.  Floating
         inputs are upcast to float64 copies internally (and the default
-        backend is forced for the duration), so the comparison always runs
-        in full precision regardless of the inputs' dtype or the session's
-        active backend.
+        ``"float32"`` policy is pinned for the duration), so the comparison
+        always runs in full precision regardless of the inputs' dtype or
+        the session's active policy.
 
     Returns
     -------
@@ -80,7 +78,7 @@ def gradcheck(func: Callable[..., Tensor], inputs: Sequence[Tensor],
         ``True`` when every checked gradient matches.  Raises
         ``AssertionError`` with a diagnostic message otherwise.
     """
-    with use_backend("numpy"):
+    with use_backend("float32"):
         inputs = [_as_float64(tensor_input) for tensor_input in inputs]
         for tensor_input in inputs:
             if tensor_input.requires_grad:

@@ -10,12 +10,9 @@ All operations are vectorised with numpy and support broadcasting; the
 gradient of a broadcast operand is summed back to the operand's shape by
 :func:`_unbroadcast`.
 
-Dense forward computation — matmuls, elementwise ufuncs, reductions, and
-the dtype policy of :class:`Tensor` construction — routes through the
-active compute backend (:mod:`repro.tensor.backend`), selected with
-``use_backend``.  The default backend reproduces the pre-seam numpy
-behaviour bit for bit; gradients always run in plain numpy because tape
-closures may outlive any backend scope.
+The dtype that :class:`Tensor` construction gives implicit float data
+follows the active dtype policy (:mod:`repro.tensor.backend`), selected
+with ``use_backend``: float32 by default, float64 for the reference.
 """
 
 from __future__ import annotations
@@ -28,8 +25,8 @@ import numpy as np
 
 from repro.tensor.backend import active_backend
 
-#: Historical float dtype of the substrate; the *active* default now comes
-#: from ``active_backend().dtype`` (float32 for the default backend).
+#: Historical float dtype of the substrate; the *active* default comes from
+#: ``active_backend().dtype`` (float32 under the default policy).
 DEFAULT_DTYPE = np.float32
 
 _GRAD_ENABLED = True
@@ -214,8 +211,16 @@ def _as_array(value, dtype=None) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` through the active backend (folded GEMM, optional pooling)."""
-    return active_backend().matmul(a, b)
+    """``a @ b`` with batched-by-2D products folded into a single GEMM.
+
+    ``(..., n, k) @ (k, m)`` runs noticeably faster as one
+    ``(prod(...) * n, k) @ (k, m)`` BLAS call than as numpy's gufunc loop
+    of per-batch products — this shape is the projection/linear hot path
+    (``states @ W``) of every training step.
+    """
+    if a.ndim > 2 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    return a @ b
 
 
 class Tensor:
@@ -243,11 +248,10 @@ class Tensor:
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
         else:
-            # The backend's dtype policy.  Every backend preserves explicit
-            # float32 and float64 arrays (float64 so gradcheck can run in
-            # full precision; float32 so a non-default backend never
-            # silently promotes the training data) — except the strict
-            # ``float32`` backend, which demotes float64 on entry.
+            # The dtype policy.  Both policies preserve explicit float32
+            # and float64 arrays (float64 so gradcheck can run in full
+            # precision; float32 so the float64 reference never silently
+            # promotes the training data).
             arr = active_backend().coerce(arr)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad) and arr.dtype.kind == "f"
@@ -326,9 +330,8 @@ class Tensor:
         global _GRAPH_NODES
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         # Explicit dtype: op results keep the dtype the computation produced.
-        # The backend's coerce() policy applies at data *entry* (``__init__``
-        # with dtype=None), not to intermediate results — otherwise a strict
-        # reduced-precision backend would demote explicit float64 work.
+        # The dtype policy applies at data *entry* (``__init__`` with
+        # dtype=None), not to intermediate results.
         out = Tensor(data, requires_grad=False, dtype=data.dtype)
         out.requires_grad = requires and out.data.dtype.kind == "f"
         if out.requires_grad:
@@ -394,7 +397,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.add, self.data, other.data),
+        out = self._make(np.add(self.data, other.data),
                          (self, other), "add")
         if out.requires_grad:
             a, b = self, other
@@ -411,7 +414,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = self._make(active_backend().unary(np.negative, self.data), (self,), "neg")
+        out = self._make(np.negative(self.data), (self,), "neg")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
                 self._accumulate(-grad)
@@ -421,7 +424,7 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.subtract, self.data, other.data),
+        out = self._make(np.subtract(self.data, other.data),
                          (self, other), "sub")
         if out.requires_grad:
             a, b = self, other
@@ -440,7 +443,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.multiply, self.data, other.data),
+        out = self._make(np.multiply(self.data, other.data),
                          (self, other), "mul")
         if out.requires_grad:
             a, b = self, other
@@ -458,7 +461,7 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.divide, self.data, other.data),
+        out = self._make(np.divide(self.data, other.data),
                          (self, other), "div")
         if out.requires_grad:
             a, b = self, other
@@ -614,7 +617,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Differentiable summation over ``axis`` (or all elements)."""
-        out = self._make(active_backend().sum(self.data, axis=axis, keepdims=keepdims),
+        out = self._make(self.data.sum(axis=axis, keepdims=keepdims),
                          (self,), "sum")
         if out.requires_grad:
             shape = self.shape
@@ -638,7 +641,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Differentiable maximum; tied maxima share the gradient."""
-        out_data = active_backend().max(self.data, axis=axis, keepdims=keepdims)
+        out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make(out_data, (self,), "max")
         if out.requires_grad:
             shape = self.shape
@@ -670,7 +673,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = active_backend().unary(np.exp, self.data)
+        out_data = np.exp(self.data)
         out = self._make(out_data, (self,), "exp")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -681,7 +684,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out = self._make(active_backend().unary(np.log, self.data), (self,), "log")
+        out = self._make(np.log(self.data), (self,), "log")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad / self.data)
@@ -691,7 +694,7 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data = active_backend().unary(np.sqrt, self.data)
+        out_data = np.sqrt(self.data)
         out = self._make(out_data, (self,), "sqrt")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -702,7 +705,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         """Elementwise ``max(x, 0)``."""
-        out = self._make(active_backend().binary(np.maximum, self.data, 0), (self,), "relu")
+        out = self._make(np.maximum(self.data, 0), (self,), "relu")
         if out.requires_grad:
             mask = (self.data > 0).astype(self.data.dtype)
 
@@ -714,8 +717,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
-        backend = active_backend()
-        out_data = backend.unary(np.exp, backend.unary(np.negative, self.data))
+        out_data = np.exp(np.negative(self.data))
         np.add(out_data, 1.0, out=out_data)
         np.reciprocal(out_data, out=out_data)
         out = self._make(out_data, (self,), "sigmoid")
@@ -728,7 +730,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = active_backend().unary(np.tanh, self.data)
+        out_data = np.tanh(self.data)
         out = self._make(out_data, (self,), "tanh")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -739,7 +741,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (sign subgradient)."""
-        out = self._make(active_backend().unary(np.abs, self.data), (self,), "abs")
+        out = self._make(np.abs(self.data), (self,), "abs")
         if out.requires_grad:
             sign = np.sign(self.data)
 
@@ -790,13 +792,13 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Tensor of zeros (in the active backend's float dtype by default)."""
+    """Tensor of zeros (in the active policy's float dtype by default)."""
     dtype = active_backend().dtype if dtype is None else dtype
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Tensor of ones (in the active backend's float dtype by default)."""
+    """Tensor of ones (in the active policy's float dtype by default)."""
     dtype = active_backend().dtype if dtype is None else dtype
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 

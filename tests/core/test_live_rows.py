@@ -123,7 +123,7 @@ def _assert_same_step(live, ref):
     assert live[2] == ref[2]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "float64"])
+@pytest.mark.parametrize("backend", ["float32", "float64"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_train_step_matches_reference_per_config(backend, config):
     batch = _batch(BATCHES["all_padding_row"])
@@ -134,7 +134,7 @@ def test_train_step_matches_reference_per_config(backend, config):
     _assert_same_step(live, ref)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "float64"])
+@pytest.mark.parametrize("backend", ["float32", "float64"])
 @pytest.mark.parametrize("batch_name", sorted(BATCHES))
 def test_train_step_matches_reference_per_batch(backend, batch_name):
     batch = _batch(BATCHES[batch_name])
@@ -162,7 +162,7 @@ def test_gumbel_noise_changes_the_step():
     assert get_rng().bit_generator.state != before
 
 
-@pytest.mark.parametrize("backend", ["numpy", "float64"])
+@pytest.mark.parametrize("backend", ["float32", "float64"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_final_state_matches_reference_last_row(backend, config):
     inputs = np.concatenate([BATCHES["all_padding_row"], BATCHES["length_one"],

@@ -5,7 +5,7 @@ Pins the three contracts ``docs/graph-workloads.md`` promises:
 - both models are gradcheck-clean under the fused *and* composed kernel
   dispatch (KTUP's preference attention goes through ``F.softmax``, FM's
   training loss through the shared cross-entropy) and forward-consistent
-  across every numeric backend;
+  under both dtype policies;
 - both export to inference artifacts and serve through
   :class:`~repro.serve.RecommendationEngine` with evaluator-parity — the
   engine's metrics equal the offline model's bitwise;
@@ -148,7 +148,7 @@ class TestGradcheck:
 
 
 class TestBackends:
-    """Forward pass must agree across every registered numeric backend."""
+    """Forward pass must agree under both dtype policies."""
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_forward_consistent(self, backend):

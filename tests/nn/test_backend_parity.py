@@ -1,15 +1,17 @@
-"""Forward parity of every ``repro.nn`` layer across compute backends.
+"""Forward parity of every ``repro.nn`` layer across the dtype policies.
 
 For each layer the same seeded construction and the same input data run
 once under ``use_backend("float64")`` and once under
 ``use_backend("float32")``; outputs must agree to 1e-5.  This pins down
 two properties at once: parameter initialisation draws identical values
-under every backend (only the storage dtype differs), and no layer's
+under both policies (only the storage dtype differs), and no layer's
 forward arithmetic hides a precision-sensitive step that reduced
 precision would silently distort.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -153,10 +155,11 @@ BUILDERS = {
 }
 
 
-def _forward(name: str, backend: str) -> np.ndarray:
+def _forward(name: str, backend: str | None) -> np.ndarray:
+    """The layer's eval-mode output; ``backend=None`` keeps the ambient policy."""
     set_seed(1234)
     rng = np.random.default_rng(99)
-    with use_backend(backend):
+    with use_backend(backend) if backend else contextlib.nullcontext():
         layer, inputs = BUILDERS[name](rng)
         layer.eval()
         if not isinstance(inputs, tuple):
@@ -176,8 +179,8 @@ def test_forward_parity_float64_vs_float32(name):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_forward_parity_default_vs_float32(name):
-    # The bit-compatible default and the strict float32 backend agree on
-    # the (float32-native) layer stack.
-    default = _forward(name, "numpy")
+    # With no use_backend scope the layers run under the float32 policy,
+    # bit for bit.
+    default = _forward(name, None)
     reduced = _forward(name, "float32")
-    np.testing.assert_allclose(reduced, default, atol=ATOL, rtol=0)
+    np.testing.assert_array_equal(reduced, default)

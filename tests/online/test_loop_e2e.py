@@ -23,8 +23,9 @@ from repro.online import (
     ShadowEvaluator,
     ShadowRegression,
 )
-from repro.serve import ClusterConfig, ServingCluster, load_artifact
-from repro.serve.quantize import engine_for_artifact
+from repro.serve import (
+    ClusterConfig, RecommendationEngine, ServingCluster, load_artifact,
+)
 from repro.utils import set_seed
 
 
@@ -133,7 +134,7 @@ def test_regressed_candidate_is_refused_and_cluster_keeps_incumbent(
         cluster, base_histories, tiny_dataset, tmp_path):
     """A bad candidate never reaches the cluster: typed refusal, no swap."""
     users = sorted(base_histories)[:16]
-    incumbent_engine = engine_for_artifact(cluster.artifact_path)
+    incumbent_engine = RecommendationEngine(load_artifact(cluster.artifact_path))
     examples = []
     for user in users:
         history = cluster.router.history(user)

@@ -287,5 +287,7 @@ class TestClusterLifecycle:
             ClusterConfig(queue_limit=0)
         with pytest.raises(ValueError, match="max_retries"):
             ClusterConfig(max_retries=-1)
+        with pytest.raises(ValueError, match="golden_probe_k"):
+            ClusterConfig(golden_probe_k=0)
         with pytest.raises(ValueError, match="default_deadline_s"):
             ClusterConfig(default_deadline_s=0.0)

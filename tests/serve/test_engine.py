@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.serve import RecommendationEngine
+from repro.serve.router import Router
 
 
 class TestTopK:
@@ -42,6 +43,18 @@ class TestTopK:
     def test_k_clamped_to_vocabulary(self, engine):
         results = engine.recommend(1, k=10_000, filter_seen=False)
         assert len(results) == engine.model.num_items
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_k_returns_nothing_on_every_path(self, engine, k):
+        # Regression: argpartition(scores, -k)[-k:] with k=0 is [0:], the
+        # whole catalogue.  The engine, its batch path and the cluster's
+        # degraded popularity fallback must all answer [].
+        user = 0
+        router = Router(world=1, queue_limit=4, num_items=engine.model.num_items)
+        router.set_history(user, engine.history(user))
+        degraded = list(router.degraded_response(user, k, True).items)
+        assert engine.recommend(user, k=k) == degraded == []
+        assert engine.recommend_batch([(user, k), (user, k, False)]) == [[], []]
 
     def test_unknown_user_empty_history_works(self, engine):
         results = engine.recommend(99_999, k=3)

@@ -1,10 +1,11 @@
 """Observe-path consistency across every serving implementation.
 
 The regression suite for the stale-read family of bugs: after an
-``observe``, the engine, the quantized engine, the router's authoritative
-store, and the multi-process cluster must all serve the *same* answer a
-freshly-built engine with the full history would — including while a swap
-is in flight and after a worker respawn races an in-flight observe.
+``observe``, the engine over a plain or an int8 artifact, the router's
+authoritative store, and the multi-process cluster must all serve the
+*same* answer a freshly-built engine with the full history would —
+including while a swap is in flight and after a worker respawn races an
+in-flight observe.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.serve import (
     export_artifact,
     load_artifact,
 )
-from repro.serve.quantize import QuantizedEngine, engine_for_artifact
 from repro.utils import set_seed
 
 
@@ -48,6 +48,10 @@ def quantized_artifact(tiny_dataset, tmp_path_factory):
     return export_artifact(
         model, tmp_path_factory.mktemp("parity") / "isrec-int8.npz",
         quantize="int8")
+
+
+def engine_for(path, **kwargs) -> RecommendationEngine:
+    return RecommendationEngine(load_artifact(path), **kwargs)
 
 
 def histories_for(tiny_split, users):
@@ -86,9 +90,9 @@ class TestEngineStaleCacheOracle:
                                               quantized_artifact,
                                               tiny_split, kind):
         path = artifact_path if kind == "plain" else quantized_artifact
-        warm = engine_for_artifact(path, cache_size=64)
-        fresh = engine_for_artifact(path, cache_size=64)
-        assert isinstance(warm, (RecommendationEngine, QuantizedEngine))
+        warm = engine_for(path, cache_size=64)
+        fresh = engine_for(path, cache_size=64)
+        assert isinstance(warm, RecommendationEngine)
         for user in (0, 3, 7):
             history = list(tiny_split.test_input(user))
             warm.set_history(user, history)
@@ -104,7 +108,7 @@ class TestEngineStaleCacheOracle:
                                                    quantized_artifact,
                                                    tiny_split, kind):
         path = artifact_path if kind == "plain" else quantized_artifact
-        engine = engine_for_artifact(path, cache_size=64)
+        engine = engine_for(path, cache_size=64)
         engine.set_history(2, tiny_split.test_input(2))
         top1 = int(engine.recommend(2, k=1)[0][0])
         engine.observe(2, top1)
@@ -112,11 +116,13 @@ class TestEngineStaleCacheOracle:
                      engine.recommend(2, k=engine.model.num_items)]
         assert top1 not in remaining
 
-    def test_quantized_seen_index_follows_history_shrink(
-            self, quantized_artifact, tiny_split):
+    @pytest.mark.parametrize("kind", ["plain", "quantized"])
+    def test_seen_index_follows_history_shrink(
+            self, artifact_path, quantized_artifact, tiny_split, kind):
         # The inverse direction: replacing a history with a *shorter* one
         # must un-hide items the stale seen-index would keep filtering.
-        engine = engine_for_artifact(quantized_artifact, cache_size=64)
+        path = artifact_path if kind == "plain" else quantized_artifact
+        engine = engine_for(path, cache_size=64)
         history = [int(item) for item in tiny_split.test_input(4)]
         engine.set_history(4, history)
         engine.recommend(4, k=5)  # memoise the seen index
@@ -128,7 +134,7 @@ class TestEngineStaleCacheOracle:
 
     def test_engine_event_log_tap_preserves_order(self, artifact_path):
         events = EventLog(capacity=64)
-        engine = engine_for_artifact(artifact_path, event_log=events)
+        engine = engine_for(artifact_path, event_log=events)
         engine.set_history(0, [1, 2])
         for item in (5, 9, 3):
             engine.observe(0, item)
@@ -146,7 +152,7 @@ class TestClusterParity:
                                               quantized_artifact,
                                               tiny_split, kind):
         path = artifact_path if kind == "plain" else quantized_artifact
-        engine = engine_for_artifact(path, cache_size=64)
+        engine = engine_for(path, cache_size=64)
         users = [0, 1, 4, 9]
         rng = np.random.default_rng(11)
         with ServingCluster(path, config=fast_config()) as cluster:
@@ -211,7 +217,7 @@ class TestObserveDuringSwap:
                 thread.join(timeout=30.0)
             assert summary["workers"] == cluster.config.world
 
-            reference = engine_for_artifact(next_artifact, cache_size=64)
+            reference = engine_for(next_artifact, cache_size=64)
             for user in users:
                 # The authoritative history (base + every racing observe)
                 # must be what the swapped-in engines score with.

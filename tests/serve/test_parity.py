@@ -22,6 +22,7 @@ from repro.core.isrec import ISRec
 from repro.data.batching import evaluation_inputs, pad_left
 from repro.models.base import validation_evaluator
 from repro.serve import RecommendationEngine, export_artifact, load_artifact
+from repro.tensor import use_backend
 from repro.tensor.tensor import graph_nodes, no_grad
 from repro.utils import set_seed
 
@@ -91,6 +92,24 @@ class TestRecommendParity:
         engine.set_history(777, [3])
         expected = self._reference_topk(frozen_model, [3], 5, True)
         assert engine.recommend(777, k=5) == expected
+
+    @pytest.mark.parametrize("filter_seen", [True, False])
+    def test_float64_model_topk_matches_reference(self, tiny_dataset,
+                                                  tiny_split, filter_seen):
+        # The reused scores buffer follows the item table's dtype: a
+        # float32 buffer would round these float64 scores.
+        set_seed(99)
+        with use_backend("float64"):
+            model = ISRec.from_dataset(tiny_dataset, max_len=12,
+                                       config=ISRecConfig(dim=16))
+        model.eval()
+        assert model.item_embedding.weight.data.dtype == np.float64
+        engine = RecommendationEngine(model, cache_size=256)
+        for user in (0, 1, 17):
+            history = np.asarray(tiny_split.test_input(user))
+            engine.set_history(user, history)
+            expected = self._reference_topk(model, history, 10, filter_seen)
+            assert engine.recommend(user, k=10, filter_seen=filter_seen) == expected
 
 
 class TestZeroGraphNodes:

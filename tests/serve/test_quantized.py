@@ -1,16 +1,15 @@
-"""Int8 quantized serving: codecs, engine accuracy, artifact round-trip.
+"""Int8 artifacts: the codec, serving accuracy, the artifact round-trip.
 
 Three layers of guarantees:
 
-- the per-channel codec round-trips within its theoretical step size and
-  the honest int8 GEMV matches the dequantized float product;
-- a :class:`~repro.serve.QuantizedEngine` (both GEMM modes) agrees with
-  the exact engine's top-10 on at least 80% of items per request (in
-  practice overlap is ~99%; the floor leaves room for tie shuffles);
-- a quantized artifact survives the full production path: transparent
-  ``load_artifact`` decode, ``engine_for_artifact`` dispatch, and a
-  canary-validated :meth:`~repro.serve.ServingCluster.swap` onto a live
-  cluster.
+- the per-channel codec round-trips within its theoretical step size;
+- the engine over an int8 artifact agrees with the engine over the float
+  model on at least 80% of each request's top-10 (in practice overlap is
+  ~99%; the floor leaves room for tie shuffles), and on HR@10/NDCG@10
+  under the offline evaluator;
+- a quantized artifact survives the full production path: int8 storage,
+  transparent ``load_artifact`` decode, and a canary-validated
+  :meth:`~repro.serve.ServingCluster.swap` onto a live cluster.
 """
 
 from __future__ import annotations
@@ -20,24 +19,24 @@ import pytest
 
 from repro.core.config import ISRecConfig
 from repro.core.isrec import ISRec
+from repro.models.base import validation_evaluator
 from repro.serve import (
     ClusterConfig,
-    QuantizedEngine,
     RecommendationEngine,
     ServingCluster,
     dequantize,
-    engine_for_artifact,
     export_artifact,
-    int8_gemv,
     load_artifact,
     quantize_per_channel,
-    read_quantization,
 )
 from repro.utils import set_seed
+from repro.utils.serialization import read_npz_verified
 
 #: Minimum per-request fraction of the exact top-10 a quantized engine
 #: must reproduce (documented in docs/performance.md).
 MIN_TOPK_OVERLAP = 0.8
+#: Largest HR@10 / NDCG@10 gap allowed between the int8 and float models.
+MAX_METRIC_GAP = 0.02
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +48,10 @@ def quantized_artifact(tiny_dataset, tmp_path_factory):
     return export_artifact(
         model, tmp_path_factory.mktemp("quantized") / "isrec_q8.npz",
         quantize="int8")
+
+
+def engine_for(path, **kwargs) -> RecommendationEngine:
+    return RecommendationEngine(load_artifact(path), **kwargs)
 
 
 class TestCodec:
@@ -83,29 +86,14 @@ class TestCodec:
         with pytest.raises(ValueError, match="scalar"):
             quantize_per_channel(np.float32(3.0))
 
-    def test_int8_gemv_matches_float_product(self):
-        rng = np.random.default_rng(1)
-        weights = rng.normal(size=(40, 16)).astype(np.float32)
-        x = rng.normal(size=16).astype(np.float32)
-        q, scales = quantize_per_channel(weights)
-        exact = dequantize(q, scales) @ x
-        got = int8_gemv(q, scales, x)
-        # One extra per-tensor activation quantization of error.
-        scale = float(np.abs(exact).max())
-        np.testing.assert_allclose(got, exact, atol=0.02 * scale)
-
-    def test_int8_gemv_zero_vector(self):
-        q, scales = quantize_per_channel(np.ones((4, 3), dtype=np.float32))
-        assert np.all(int8_gemv(q, scales, np.zeros(3, dtype=np.float32)) == 0)
-
 
 class TestQuantizedEngine:
-    @pytest.mark.parametrize("gemm", ["dequant", "int8"])
+    """The engine over an int8 artifact (decoded to float32 at load)."""
+
     def test_topk_overlap_vs_exact(self, frozen_model, quantized_artifact,
-                                   tiny_split, gemm):
+                                   tiny_split):
         exact = RecommendationEngine(frozen_model, cache_size=64)
-        quant = engine_for_artifact(quantized_artifact, cache_size=64, gemm=gemm)
-        assert isinstance(quant, QuantizedEngine)
+        quant = engine_for(quantized_artifact, cache_size=64)
         overlaps = []
         for user in range(tiny_split.num_users):
             history = np.asarray(tiny_split.test_input(user))
@@ -117,8 +105,16 @@ class TestQuantizedEngine:
             overlaps.append(len(top_exact & top_quant) / max(len(top_exact), 1))
         assert min(overlaps) >= MIN_TOPK_OVERLAP, overlaps
 
+    def test_holdout_metrics_parity(self, tiny_dataset, tiny_split,
+                                    frozen_model, quantized_artifact):
+        evaluator = validation_evaluator(tiny_dataset, tiny_split, seed=5)
+        exact = evaluator.evaluate(frozen_model, stage="test")
+        quant = evaluator.evaluate(engine_for(quantized_artifact), stage="test")
+        assert abs(quant.hr10 - exact.hr10) <= MAX_METRIC_GAP
+        assert abs(quant.ndcg10 - exact.ndcg10) <= MAX_METRIC_GAP
+
     def test_scores_descending_and_finite(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
+        engine = engine_for(quantized_artifact)
         engine.set_history(0, [1, 2, 3])
         results = engine.recommend(0, k=10)
         scores = [score for _item, score in results]
@@ -127,33 +123,11 @@ class TestQuantizedEngine:
         assert all(item != 0 for item, _score in results)
 
     def test_filter_seen(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
+        engine = engine_for(quantized_artifact)
         engine.set_history(5, [1, 2, 3])
         items = {item for item, _score in engine.recommend(5, k=10)}
         assert not items & {1, 2, 3}
 
-    def test_state_cache_is_half_precision(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
-        engine.set_history(7, [4, 5])
-        engine.recommend(7, k=5)
-        assert engine._states[7].dtype == np.float16
-
-    def test_quantization_info(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
-        info = engine.quantization_info()
-        assert info["scheme"] == "int8"
-        assert info["compression"] > 3.0
-
-    def test_bad_gemm_mode_rejected(self, frozen_model):
-        q, scales = quantize_per_channel(
-            frozen_model.item_embedding.weight.data)
-        with pytest.raises(ValueError, match="gemm"):
-            QuantizedEngine(frozen_model, q, scales, gemm="fp4")
-
-    def test_float_table_rejected(self, frozen_model):
-        weights = frozen_model.item_embedding.weight.data
-        with pytest.raises(TypeError, match="int8"):
-            QuantizedEngine(frozen_model, weights, np.ones(len(weights)))
 
 
 class TestArtifactRoundTrip:
@@ -171,21 +145,22 @@ class TestArtifactRoundTrip:
         scale = float(np.abs(exact).max())
         np.testing.assert_allclose(got, exact, atol=scale / 127.0)
 
-    def test_read_quantization_payloads(self, quantized_artifact, artifact_path):
-        payloads = read_quantization(quantized_artifact)
-        assert any(name.endswith("item_embedding.weight") for name in payloads)
-        q, scales = next(iter(payloads.values()))
-        assert q.dtype == np.int8
-        assert scales.dtype == np.float32
-        assert read_quantization(artifact_path) == {}
+    def test_int8_payloads_stored(self, quantized_artifact, artifact_path):
+        # The format: every weight matrix is int8 under weights/ with a
+        # float32 per-row scale under quant/; a float artifact has no quant/.
+        arrays, meta = read_npz_verified(quantized_artifact)
+        assert meta["quantize"] == "int8"
+        assert any(name.endswith("item_embedding.weight")
+                   for name in meta["quantized_weights"])
+        for name in meta["quantized_weights"]:
+            assert arrays[f"weights/{name}"].dtype == np.int8
+            assert arrays[f"quant/{name}"].dtype == np.float32
+        plain, _meta = read_npz_verified(artifact_path)
+        assert not any(key.startswith("quant/") for key in plain)
 
     def test_unknown_scheme_rejected(self, frozen_model, tmp_path):
         with pytest.raises(ValueError, match="unknown quantization scheme"):
             export_artifact(frozen_model, tmp_path / "bad.npz", quantize="int4")
-
-    def test_plain_artifact_gets_plain_engine(self, artifact_path):
-        engine = engine_for_artifact(artifact_path)
-        assert type(engine) is RecommendationEngine
 
 
 class TestClusterSwap:

@@ -97,10 +97,8 @@ class TestDtypes:
     def test_float64_preserved(self):
         # float64 passes through so gradcheck can run in full precision;
         # Python float lists arrive as float64 and stay float64.  This is
-        # the *default* backend's policy — pinned explicitly so the test
-        # also holds when the suite runs under REPRO_BACKEND=float32,
-        # whose strict policy intentionally demotes float64.
-        with use_backend("numpy"):
+        # the default ``float32`` policy's rule, pinned explicitly.
+        with use_backend("float32"):
             assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
             assert Tensor([1.0, 2.0]).dtype == np.float64
 

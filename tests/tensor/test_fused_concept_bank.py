@@ -1,6 +1,6 @@
 """Fused concept-bank decode kernel (repro.tensor.fused.concept_bank_decode):
-exact parity with the composed Eq. (11) reference, gradchecks under every
-registered backend, and the single-tape-node / inference-mode contracts.
+exact parity with the composed Eq. (11) reference, gradchecks under both
+dtype policies, and the single-tape-node / inference-mode contracts.
 
 Parity is asserted with exact equality, never a tolerance: the top-λ
 selection downstream of the decoder amplifies any rounding change, so the

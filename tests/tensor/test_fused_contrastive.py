@@ -1,5 +1,5 @@
 """Fused intent-contrastive InfoNCE kernel (repro.tensor.fused.info_nce):
-gradchecks under every registered backend, equivalence against the composed
+gradchecks under both dtype policies, equivalence against the composed
 reference, and the allocation bound that justifies fusing."""
 
 import numpy as np
@@ -26,9 +26,9 @@ def _views(rng, n=5, d=6, dtype=np.float64):
 
 
 # ----------------------------------------------------------------------
-# Gradchecks (float64, finite differences) — fused and composed, on every
-# registered backend (gradcheck upcasts internally; the wrapper exercises
-# the backend-specific matmul/binary paths of the forward build).
+# Gradchecks (float64, finite differences) — fused and composed, under both
+# dtype policies (gradcheck upcasts internally; the wrapper builds the
+# forward under each policy).
 # ----------------------------------------------------------------------
 class TestGradcheck:
     def test_fused(self, rng):
